@@ -154,8 +154,10 @@ func TestWriteAllocBudgetPartialPlacement(t *testing.T) {
 
 // TestUncoalescedWriteAllocBudget locks in the refcounted shared-frame
 // path: with coalescing off, every multicast write shares one pooled
-// frame recycled by its last receiver, so even the uncoalesced
-// protocols amortize below one allocation per write.
+// frame recycled by its last receiver, and the sharded engine's run
+// queue is a ring that stops growing at its high-water mark, so the
+// uncoalesced protocols measure 0 allocations per write in steady
+// state; the budget leaves room for one pool miss per burst.
 func TestUncoalescedWriteAllocBudget(t *testing.T) {
 	for _, cons := range []Consistency{PRAM, Slow, CausalFull} {
 		t.Run(string(cons), func(t *testing.T) {
@@ -177,8 +179,8 @@ func TestUncoalescedWriteAllocBudget(t *testing.T) {
 				}
 				c.Quiesce()
 			})
-			if perWrite := avg / 16; perWrite > 0.5 {
-				t.Errorf("%s uncoalesced Write allocates %.2f/op amortized, budget 0.5", cons, perWrite)
+			if perWrite := avg / 16; perWrite > 0.1 {
+				t.Errorf("%s uncoalesced Write allocates %.2f/op amortized, budget 0.1", cons, perWrite)
 			}
 		})
 	}

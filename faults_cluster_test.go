@@ -1,9 +1,12 @@
 package partialdsm
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"partialdsm/internal/netsim"
 )
@@ -305,5 +308,71 @@ func TestClusterOpDeadlineFailsFast(t *testing.T) {
 				t.Fatal("Err() = nil, want the deadline fault recorded")
 			}
 		})
+	}
+}
+
+// slidingPlacement puts vars variables named prefix0, prefix1, … on
+// width consecutive nodes each, starting at node (index mod nodes).
+func slidingPlacement(prefix string, nodes, vars, width int) [][]string {
+	out := make([][]string, nodes)
+	for v := 0; v < vars; v++ {
+		for k := 0; k < width; k++ {
+			p := (v + k) % nodes
+			out[p] = append(out[p], fmt.Sprintf("%s%d", prefix, v))
+		}
+	}
+	return out
+}
+
+// TestReliableClusterLeavesFramePoolsClean is the regression test for
+// the pool poisoning benchmark/README.md reports as finding 4. Behind
+// the reliable layer an uncoalesced frame reaches its handler with
+// Vars still aliasing the sender's list — the static
+// sharegraph.Index.MsgVars slice — and RecycleFrame used to put that
+// slice into a process-wide variable-list pool once per delivery; the
+// next coalescing cluster in the process then built several frames on
+// one backing array and accounted one frame's variable to another's
+// endpoints. Variable lists now stay with their sender.
+func TestReliableClusterLeavesFramePoolsClean(t *testing.T) {
+	put := func(c *Cluster, prefix string, nodes, vars, width, ops int) {
+		t.Helper()
+		var val [8]byte
+		for i := 0; i < ops; i++ {
+			v := i % vars
+			binary.BigEndian.PutUint64(val[:], uint64(i+1))
+			if err := c.Node((v+i%width)%nodes).Put(fmt.Sprintf("%s%d", prefix, v), val[:]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.Quiesce(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	first, err := New(Config{
+		Consistency: PRAM, PlacementLists: slidingPlacement("a", 4, 8, 3),
+		Seed: 1, DisableTrace: true, Transport: TransportSharded,
+		VirtualLatency: true, MaxLatency: 100 * time.Microsecond, Reliable: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	put(first, "a", 4, 8, 3, 200)
+	first.Close()
+
+	second := newCluster(t, Config{
+		Consistency: PRAM, PlacementLists: slidingPlacement("b", 6, 8, 2),
+		Seed: 2, DisableTrace: true, Transport: TransportSharded, CoalesceBatch: 16,
+	})
+	put(second, "b", 6, 8, 2, 2000)
+	if err := second.VerifyEfficiency(); err != nil {
+		t.Errorf("coalescing cluster built after a reliable one: %v", err)
+	}
+	for node, names := range second.Stats().Touch {
+		for _, x := range names {
+			if !strings.HasPrefix(x, "b") {
+				t.Errorf("node %d touched %q, a variable of the closed cluster", node, x)
+			}
+		}
 	}
 }

@@ -43,7 +43,6 @@ var PoolOwn = &analysis.Analyzer{
 var acquireFuncs = map[string]bool{
 	"GetPayload":       true,
 	"GetSharedPayload": true,
-	"getVars":          true,
 }
 
 func isAcquireCall(info *types.Info, call *ast.CallExpr) (string, bool) {

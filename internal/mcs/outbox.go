@@ -30,9 +30,10 @@ import (
 // A frame is flushed when it reaches the batch size, when the owning
 // protocol reads (Outbox owners flush on Read so a polling peer
 // eventually observes buffered writes), and when the cluster quiesces
-// (mcs.Flusher). Payload and variable-list buffers come from the
-// process-wide pools; the receiving handler recycles them with
-// RecycleFrame after decoding.
+// (mcs.Flusher). Payload buffers come from the process-wide pools; the
+// receiving handler recycles them with RecycleFrame after decoding.
+// Variable lists stay with the outbox: the transport reads Message.Vars
+// only inside Send, so each destination's list is reused after a flush.
 //
 // Two engine-driven flush policies ride on top (SetFlushPolicy), both
 // keyed to the transport's deterministic virtual clock so the flush
@@ -84,7 +85,7 @@ type destFrame struct {
 	buf        []byte // nil while empty; starts with a 4-byte count slot
 	count      int
 	ctrl, data int
-	vars       []string
+	vars       []string // kept, emptied, across flushes
 }
 
 // frameHeaderLen is the size of the record-count prefix; it is
@@ -188,8 +189,9 @@ func (o *Outbox) Stage() *Enc {
 }
 
 // Emit sends the staged record to every destination. When coalescing
-// is off (batch ≤ 1) the whole multicast shares one refcounted pooled
-// frame, recycled by the last receiver (RecycleFrame); with coalescing
+// is off (batch ≤ 1) the whole multicast shares one pooled {frame,
+// refcount} pair, returned by the last receiver (RecycleFrame) — one
+// pool operation on each side of the multicast; with coalescing
 // on, the record is appended to each destination's pooled frame
 // (AddToVars), amortizing the buffer traffic over the batch. vars is
 // the record's variable list; callers pass a shared static slice
@@ -206,7 +208,7 @@ func (o *Outbox) Emit(dests []int, vars []string, ctrl, data int) {
 		return
 	}
 	rec := o.enc.Bytes()
-	//lint:allow poolown dests is non-empty (guarded above), so every path reaches a Send adopting the refcounted buffer
+	//lint:allow poolown dests is non-empty (guarded above), so every path reaches a Send adopting the pooled {buffer, refcount} pair
 	buf, refs := GetSharedPayload(len(dests))
 	buf = append(buf, 0, 0, 0, 1) // count = 1
 	buf = append(buf, rec...)
@@ -259,7 +261,6 @@ func (o *Outbox) appendStaged(dst int, ctrl, data int) *destFrame {
 	if d.buf == nil {
 		d.buf = GetPayload()
 		d.buf = append(d.buf, 0, 0, 0, 0) // count slot
-		d.vars = getVars()
 		if o.adaptive && !o.destArmed[dst] {
 			// Adaptive: flush this frame once dst has no inbound traffic.
 			// The pair monitor fires the hook on dst's drain transition,
@@ -325,8 +326,8 @@ func (o *Outbox) Release() {
 }
 
 // flushDest seals and sends dst's frame: the record count is patched
-// into the header and the buffers are handed off to the transport (the
-// receiving handler recycles them).
+// into the header and the payload is handed off to the transport (the
+// receiving handler recycles it).
 func (o *Outbox) flushDest(dst int) {
 	d := &o.dests[dst]
 	if d.count == 0 || o.hold {
@@ -347,7 +348,7 @@ func (o *Outbox) flushDest(dst int) {
 	if o.pending == 0 && o.armed {
 		o.staleArm = true // the outstanding deadline no longer covers live records
 	}
-	*d = destFrame{}
+	*d = destFrame{vars: d.vars[:0]}
 }
 
 // Flusher is implemented by protocol nodes that buffer outgoing updates

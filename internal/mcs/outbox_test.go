@@ -164,6 +164,53 @@ func TestOutboxVarListDedup(t *testing.T) {
 	}
 }
 
+// accountingNet reads a message the way a real transport does: the
+// variable list synchronously inside Send (the collector), never after.
+type accountingNet struct {
+	captureNet
+	seen  [][]string // each Send's variable list, copied during Send
+	lists [][]string // the slices themselves, to look at afterwards
+}
+
+func (a *accountingNet) Send(m netsim.Message) {
+	a.seen = append(a.seen, append([]string(nil), m.Vars...))
+	a.lists = append(a.lists, m.Vars)
+}
+
+// TestOutboxReusesVarListAcrossFlushes checks the ownership rule that
+// replaced the variable-list pool: a coalescing outbox keeps one list
+// per destination and rewrites it for the next frame, and what a Send
+// sees while it runs is exactly its own frame's variables.
+func TestOutboxReusesVarListAcrossFlushes(t *testing.T) {
+	net := &accountingNet{captureNet: captureNet{n: 3}}
+	o := NewOutbox(net, 0, "test.update", 2)
+	frames := [][]string{{"a", "b"}, {"c", "d"}, {"e", "a"}}
+	for i, frame := range frames {
+		for _, x := range frame {
+			stageRecord(o, record{uint32(i), 0})
+			o.AddTo(1, x, 4, 8) // the second AddTo fills the batch and flushes
+		}
+	}
+	stageRecord(o, record{9, 9})
+	o.AddTo(2, "z", 4, 8) // another destination's list is its own
+	o.Flush()
+	want := append(append([][]string(nil), frames...), []string{"z"})
+	if !reflect.DeepEqual(net.seen, want) {
+		t.Fatalf("Sends saw %v, want %v", net.seen, want)
+	}
+	for i := 1; i < len(frames); i++ {
+		if &net.lists[i][0] != &net.lists[0][0] {
+			t.Fatalf("frame %d to the same destination did not reuse the variable list", i)
+		}
+	}
+	if &net.lists[3][0] == &net.lists[0][0] {
+		t.Fatal("two destinations share one variable list")
+	}
+	if got := net.lists[0]; got[0] != "e" || got[1] != "a" {
+		t.Fatalf("first frame's list now reads %v: it was not rewritten in place", got)
+	}
+}
+
 // manualClock is a hand-cranked netsim.Clock for policy tests: timers
 // fire only when the test advances it.
 type manualClock struct {

@@ -6,14 +6,16 @@ import (
 	"partialdsm/internal/netsim"
 )
 
-// Payload and variable-list recycling.
+// Payload recycling.
 //
 // The transport contract (netsim.Transport) hands payload ownership to
 // the destination handler: once the handler runs, the transport never
 // reads or writes the slice again. Protocol handlers exploit that by
 // returning fully decoded buffers to a process-wide free list, so in
 // steady state a node's writes encode into recycled memory and the
-// protocol hot path allocates nothing.
+// protocol hot path allocates nothing. Variable lists are not pooled:
+// the transport reads Message.Vars only inside Send, so a list stays
+// with its sender (the Outbox reuses one per destination).
 //
 // The free lists are buffered channels rather than sync.Pool: putting a
 // []byte into a sync.Pool boxes the slice header into an interface and
@@ -21,10 +23,17 @@ import (
 // copy the header without boxing.
 const poolSlots = 1024
 
+// sharedFrame is a multicast's buffer with its delivery refcount; the
+// two travel through sharedPool as one value, one channel operation a
+// side.
+type sharedFrame struct {
+	buf  []byte
+	refs *atomic.Int32
+}
+
 var (
 	payloadPool = make(chan []byte, poolSlots)
-	varsPool    = make(chan []string, poolSlots)
-	refsPool    = make(chan *atomic.Int32, poolSlots)
+	sharedPool  = make(chan sharedFrame, poolSlots)
 )
 
 // GetPayload returns a recycled payload buffer (length 0, arbitrary
@@ -52,71 +61,38 @@ func PutPayload(b []byte) {
 	}
 }
 
-// getVars returns a recycled variable-name list for a batched frame.
-func getVars() []string {
-	select {
-	case v := <-varsPool:
-		return v[:0]
-	default:
-		return make([]string, 0, 4)
-	}
-}
-
-// putVars returns a frame's variable list for reuse. Never call it with
-// a shared list (sharegraph.Index.MsgVars slices are shared forever).
-func putVars(v []string) {
-	if cap(v) == 0 {
-		return
-	}
-	select {
-	case varsPool <- v:
-	default:
-	}
-}
-
 // GetSharedPayload returns a pooled payload buffer for a frame
 // multicast to n destinations, paired with its delivery refcount. The
 // sender attaches both to every copy of the message
 // (Message.SharedPayload + Message.SharedRefs); the receiver that
 // RecycleFrame observes decrementing the count to zero is the sole
-// remaining owner and returns the buffer to the pool. The Vars list of
-// a shared frame is a static slice and is never recycled.
+// remaining owner and returns the pair to the pool.
 func GetSharedPayload(n int) ([]byte, *atomic.Int32) {
-	var refs *atomic.Int32
+	var f sharedFrame
 	select {
-	case refs = <-refsPool:
+	case f = <-sharedPool:
 	default:
-		refs = new(atomic.Int32)
+		f = sharedFrame{make([]byte, 0, 128), new(atomic.Int32)}
 	}
-	refs.Store(int32(n))
-	return GetPayload(), refs
+	f.refs.Store(int32(n))
+	return f.buf[:0], f.refs
 }
 
-// putRefs returns a spent refcount for reuse.
-func putRefs(r *atomic.Int32) {
-	select {
-	case refsPool <- r:
-	default:
-	}
-}
-
-// RecycleFrame releases the buffers of a delivered Outbox frame. The
+// RecycleFrame releases the payload of a delivered Outbox frame. The
 // handler of a protocol calls it after the frame has been fully
 // decoded. Refcounted multicast frames (msg.SharedPayload with
 // msg.SharedRefs) are recycled by whichever receiver turns out to be
 // the last: earlier receivers only decrement. Shared frames without a
 // refcount are left alone — the handler cannot know who else holds
-// them — and a shared frame's Vars list is a static slice, never
-// recycled. Messages sent outside this buffer discipline must not be
-// passed here.
+// them. msg.Vars belongs to the sender and is not touched. Messages
+// sent outside this buffer discipline must not be passed here.
 func RecycleFrame(msg netsim.Message) {
-	if msg.SharedPayload {
-		if msg.SharedRefs != nil && msg.SharedRefs.Add(-1) == 0 {
-			PutPayload(msg.Payload)
-			putRefs(msg.SharedRefs)
+	if !msg.SharedPayload {
+		PutPayload(msg.Payload)
+	} else if msg.SharedRefs != nil && msg.SharedRefs.Add(-1) == 0 {
+		select {
+		case sharedPool <- sharedFrame{msg.Payload, msg.SharedRefs}:
+		default:
 		}
-		return
 	}
-	PutPayload(msg.Payload)
-	putVars(msg.Vars)
 }

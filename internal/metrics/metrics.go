@@ -7,6 +7,15 @@
 //
 // The paper's "efficient partial replication" (§3) becomes the
 // checkable invariant: touch(p, x) ⇒ p ∈ C(x).
+//
+// The collector sits on every Send, so RecordMessage's steady state
+// takes no lock: counts are atomic counters sharded by sending node,
+// kinds and variable names are interned once (names to dense ids), and
+// the touch matrix is one bitset per node, tested before it is set.
+// RecordMessage takes the mutex only for something new — a kind, a
+// node, a name, or the first touch of a (node, variable) pair, at most
+// nodes × variables times in a collector's life. Reserve moves the
+// table growth to set-up; every other method locks.
 package metrics
 
 import (
@@ -15,21 +24,27 @@ import (
 	"math/bits"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Collector accumulates message and byte counts plus the per-node
 // per-variable touch matrix, and — when the transport simulates
 // latency in virtual time — a histogram of per-message delivery
 // delays, the quantity the paper's delay/efficiency trade-off is
-// about. All methods are safe for concurrent use.
+// about. All methods are safe for concurrent use; the zero value is an
+// empty collector. Node ids index a table: small and non-negative.
 type Collector struct {
-	mu        sync.Mutex
-	msgs      int64
-	ctrlBytes int64
-	dataBytes int64
-	touch     map[int]map[string]bool
-	perKind   map[string]int64
-	faults    map[string]int64
+	// Read without the lock by RecordMessage. Counters live in objects
+	// whose addresses never change; the tables that point to them are
+	// replaced, copy-on-write, only under mu.
+	nodes  atomic.Pointer[[]*nodeState]      // by node id; nil where none yet
+	varIDs atomic.Pointer[map[string]uint32] // published name → id
+
+	mu     sync.Mutex
+	names  []string          // id → name, append-only (Reset keeps it)
+	dirty  map[string]uint32 // names interned since varIDs was published
+	misses int               // locked lookups since varIDs was published
+	faults map[string]int64
 
 	delayN       int64
 	delaySum     float64 // float accumulator: uint64 would wrap after a handful of MaxInt64-scale delays
@@ -37,11 +52,52 @@ type Collector struct {
 	delayBuckets [65]int64 // bucket i counts delays of bit-length i: [2^(i-1), 2^i)
 }
 
+const cacheLine = 64
+
+// kindCounter counts one node's sent messages of one kind.
+type kindCounter struct {
+	name string
+	n    atomic.Int64
+	_    [cacheLine - 24]byte
+}
+
+// nodeState is one node's shard: the counters only its own sends bump
+// on one cache line, what every peer's sends read on the next.
+type nodeState struct {
+	ctrlBytes, dataBytes atomic.Int64
+	kinds                atomic.Pointer[[]*kindCounter] // message counts, by kind
+	_                    [cacheLine - 24]byte
+
+	seen  atomic.Bool                     // an endpoint of some message since Reset
+	touch atomic.Pointer[[]atomic.Uint64] // bit id: handled information about names[id]
+	_     [cacheLine - 16]byte
+}
+
 // NewCollector returns an empty collector.
-func NewCollector() *Collector {
-	return &Collector{
-		touch:   make(map[int]map[string]bool),
-		perKind: make(map[string]int64),
+func NewCollector() *Collector { return new(Collector) }
+
+// load returns the table (slice or map) p points to, nil before the
+// first store.
+func load[T any](p *atomic.Pointer[T]) (t T) {
+	if q := p.Load(); q != nil {
+		t = *q
+	}
+	return t
+}
+
+// Reserve sizes the collector for a cluster of the given node count
+// over the given variables, interning the names in order (ids 0, 1, …
+// on a fresh collector), so that recording on a running cluster never
+// grows a table. Other nodes and names are still accepted afterwards.
+func (c *Collector) Reserve(nodes int, vars []string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, x := range vars {
+		c.internLocked(x)
+	}
+	c.publishLocked()
+	for i := nodes - 1; i >= 0; i-- {
+		c.bitsLocked(c.nodeLocked(i), uint32(len(c.names)))
 	}
 }
 
@@ -50,22 +106,135 @@ func NewCollector() *Collector {
 // the listed variables. Both endpoints are marked as touching the
 // variables.
 func (c *Collector) RecordMessage(kind string, from, to int, ctrlBytes, dataBytes int, vars []string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.msgs++
-	c.ctrlBytes += int64(ctrlBytes)
-	c.dataBytes += int64(dataBytes)
-	c.perKind[kind]++
-	for _, node := range []int{from, to} {
-		m := c.touch[node]
-		if m == nil {
-			m = make(map[string]bool)
-			c.touch[node] = m
-		}
-		for _, v := range vars {
-			m[v] = true
+	ends := [2]*nodeState{c.node(from), c.node(to)}
+	c.kind(ends[0], kind).n.Add(1)
+	ends[0].ctrlBytes.Add(int64(ctrlBytes))
+	ends[0].dataBytes.Add(int64(dataBytes))
+	for _, n := range ends {
+		if !n.seen.Load() {
+			n.seen.Store(true)
 		}
 	}
+	for _, x := range vars {
+		id := c.varID(x)
+		if ends[0].touched(id) && ends[1].touched(id) {
+			continue
+		}
+		c.mu.Lock()
+		for _, n := range ends {
+			w := c.bitsLocked(n, id)
+			w[id>>6].Store(w[id>>6].Load() | 1<<(id&63))
+		}
+		c.mu.Unlock()
+	}
+}
+
+// kind returns n's counter of the named kind. Kinds are few and the
+// runtime compares strings pointer-first, so a scan beats a hash.
+func (c *Collector) kind(n *nodeState, name string) *kindCounter {
+	for _, k := range load(&n.kinds) {
+		if k.name == name {
+			return k
+		}
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	old := load(&n.kinds)
+	for _, k := range old {
+		if k.name == name {
+			return k
+		}
+	}
+	next := append(old[:len(old):len(old)], &kindCounter{name: name})
+	n.kinds.Store(&next)
+	return next[len(old)]
+}
+
+// node returns the shard of node i.
+func (c *Collector) node(i int) *nodeState {
+	if t := load(&c.nodes); uint(i) < uint(len(t)) && t[i] != nil {
+		return t[i]
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.nodeLocked(i)
+}
+
+func (c *Collector) nodeLocked(i int) *nodeState {
+	t := load(&c.nodes)
+	if i < len(t) && t[i] != nil {
+		return t[i]
+	}
+	next := make([]*nodeState, max(len(t), i+1))
+	copy(next, t)
+	next[i] = new(nodeState)
+	c.nodes.Store(&next)
+	return next[i]
+}
+
+// varID returns the dense id of variable x, interning it on first use.
+func (c *Collector) varID(x string) uint32 {
+	if id, ok := load(&c.varIDs)[x]; ok {
+		return id
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.internLocked(x)
+}
+
+// internLocked is varID under the mutex. A name not yet published
+// lives in dirty; the published map is rebuilt once the lookups that
+// had to lock since the last rebuild outnumber the names, so interning
+// V names costs O(V) in all and a name that is no longer new stops
+// taking the lock.
+func (c *Collector) internLocked(x string) uint32 {
+	id, ok := load(&c.varIDs)[x]
+	if ok {
+		return id
+	}
+	if id, ok = c.dirty[x]; !ok {
+		if c.dirty == nil {
+			c.dirty = make(map[string]uint32)
+		}
+		id = uint32(len(c.names))
+		c.names = append(c.names, x)
+		c.dirty[x] = id
+	}
+	if c.misses++; c.misses >= len(c.names) {
+		c.publishLocked()
+	}
+	return id
+}
+
+func (c *Collector) publishLocked() {
+	m := make(map[string]uint32, len(c.names))
+	for id, x := range c.names {
+		m[x] = uint32(id)
+	}
+	c.varIDs.Store(&m)
+	c.dirty, c.misses = nil, 0
+}
+
+// touched reports, without locking, whether bit id is set.
+func (n *nodeState) touched(id uint32) bool {
+	w := load(&n.touch)
+	return int(id>>6) < len(w) && w[id>>6].Load()&(1<<(id&63)) != 0
+}
+
+// bitsLocked returns n's bitset, grown to hold bit id. Bits are only
+// ever set under the mutex, so the copy loses none; a reader still
+// holding the old bitset sees the new bit clear and comes here.
+func (c *Collector) bitsLocked(n *nodeState, id uint32) []atomic.Uint64 {
+	w := load(&n.touch)
+	if int(id>>6) >= len(w) {
+		grown := make([]atomic.Uint64, max(2*len(w), len(c.names)>>6+1))
+		for i := range w {
+			grown[i].Store(w[i].Load())
+		}
+		n.touch.Store(&grown)
+		w = grown
+	}
+	return w
 }
 
 // RecordDelay accounts one message's drawn virtual delivery delay, in
@@ -102,7 +271,14 @@ func (c *Collector) RecordFault(kind string) {
 func (c *Collector) Touched(node int, x string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.touch[node][x]
+	id, ok := load(&c.varIDs)[x]
+	if !ok {
+		if id, ok = c.dirty[x]; !ok {
+			return false
+		}
+	}
+	t := load(&c.nodes)
+	return uint(node) < uint(len(t)) && t[node] != nil && t[node].touched(id)
 }
 
 // Stats is an immutable snapshot of a collector.
@@ -172,12 +348,31 @@ func (d DelayStats) QuantileTicks(q float64) uint64 {
 func (c *Collector) Snapshot() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s := Stats{
-		Msgs:      c.msgs,
-		CtrlBytes: c.ctrlBytes,
-		DataBytes: c.dataBytes,
-		PerKind:   make(map[string]int64, len(c.perKind)),
-		Touch:     make(map[int][]string, len(c.touch)),
+	s := Stats{PerKind: make(map[string]int64), Touch: make(map[int][]string)}
+	for node, n := range load(&c.nodes) {
+		if n == nil {
+			continue
+		}
+		for _, k := range load(&n.kinds) {
+			if sent := k.n.Load(); sent > 0 {
+				s.Msgs += sent
+				s.PerKind[k.name] += sent
+			}
+		}
+		s.CtrlBytes += n.ctrlBytes.Load()
+		s.DataBytes += n.dataBytes.Load()
+		if !n.seen.Load() {
+			continue
+		}
+		list := []string{}
+		w := load(&n.touch)
+		for i := range w {
+			for b := w[i].Load(); b != 0; b &= b - 1 {
+				list = append(list, c.names[i<<6+bits.TrailingZeros64(b)])
+			}
+		}
+		sort.Strings(list)
+		s.Touch[node] = list
 	}
 	if c.delayN > 0 {
 		s.Delay = DelayStats{
@@ -193,33 +388,22 @@ func (c *Collector) Snapshot() Stats {
 		}
 		s.Delay.Buckets = append([]int64(nil), c.delayBuckets[:top+1]...)
 	}
-	for k, v := range c.perKind {
-		s.PerKind[k] = v
-	}
 	if len(c.faults) > 0 {
 		s.Faults = make(map[string]int64, len(c.faults))
 		for k, v := range c.faults {
 			s.Faults[k] = v
 		}
 	}
-	for node, vars := range c.touch {
-		list := make([]string, 0, len(vars))
-		for v := range vars {
-			list = append(list, v)
-		}
-		sort.Strings(list)
-		s.Touch[node] = list
-	}
 	return s
 }
 
-// Reset clears all counters.
+// Reset clears all counters. The shards are dropped, not zeroed: a
+// RecordMessage racing with Reset counts as recorded before it.
+// Interned names keep their ids.
 func (c *Collector) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.msgs, c.ctrlBytes, c.dataBytes = 0, 0, 0
-	c.touch = make(map[int]map[string]bool)
-	c.perKind = make(map[string]int64)
+	c.nodes.Store(nil)
 	c.faults = nil
 	c.delayN, c.delaySum, c.delayMax = 0, 0, 0
 	c.delayBuckets = [65]int64{}

@@ -60,7 +60,9 @@ type Message struct {
 	// control information and variable data.
 	CtrlBytes, DataBytes int
 	// Vars lists the shared variables this message carries information
-	// about (for the touch matrix).
+	// about (for the touch matrix). The list stays the sender's: it is
+	// read only inside Send, and whoever holds the message afterwards
+	// must neither read nor recycle it.
 	Vars []string
 	// Epoch tags the frame with the sender's placement epoch. It is
 	// transport metadata, not payload bytes — static clusters leave it 0
@@ -68,7 +70,7 @@ type Message struct {
 	// protocols use it to tell straggler frames sent under an older
 	// epoch apart from post-flip traffic (see mcs reconfig).
 	Epoch uint64
-	// SharedPayload marks Payload (and Vars) as shared across several
+	// SharedPayload marks Payload as shared across several
 	// Sends — a multicast fanning one encoded frame out to its whole
 	// destination set. Receivers must not mutate a shared buffer;
 	// transports deliver it like any other payload.
@@ -131,6 +133,8 @@ type Options struct {
 	// FaultController. See faults.go.
 	Faults *FaultConfig
 	// Metrics receives per-message accounting; nil disables accounting.
+	// RecordMessage runs inside Send and takes no lock in steady state;
+	// RecordDelay and RecordFault take the collector's mutex.
 	// In virtual mode it also receives each message's delivery delay
 	// (RecordDelay), making delay histograms measurable. With Faults it
 	// also counts each injected fault by kind (RecordFault).

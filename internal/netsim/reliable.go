@@ -150,7 +150,9 @@ func (r *Reliable) handler(node int) Handler {
 // Send assigns the message its per-pair sequence, retains a master
 // copy for retransmission, and transmits the first attempt. Each
 // transmission sends a fresh copy of the payload — the receiver owns
-// (and may recycle) what it is handed, never the master.
+// (and may recycle) what it is handed, never the master. The master
+// also copies the variable list, which the sender may reuse as soon as
+// Send returns and a retransmission is accounted long after that.
 //
 // The pair lock is held across the first transmission so sequence
 // order equals wire order. Unlocking in between would let a competing
@@ -168,6 +170,7 @@ func (r *Reliable) Send(msg Message) {
 	p.next++
 	master := msg
 	master.Payload = append([]byte(nil), msg.Payload...)
+	master.Vars = append([]string(nil), msg.Vars...)
 	master.SharedPayload = false
 	master.SharedRefs = nil
 	if p.pending == nil {

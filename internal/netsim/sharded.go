@@ -75,10 +75,43 @@ type Sharded struct {
 type runQueue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	ready  []*mailbox
-	loose  []Message
-	lats   []time.Duration
+	ready  ring[*mailbox]
+	loose  ring[looseMsg]
 	closed bool
+}
+
+// looseMsg is a non-FIFO message with the latency drawn for it.
+type looseMsg struct {
+	msg     Message
+	latency time.Duration
+}
+
+// ring is a FIFO in a power-of-two circular buffer: once the buffer has
+// reached the queue's high-water mark, push and pop allocate nothing.
+type ring[T any] struct {
+	buf     []T
+	head, n int
+}
+
+func (r *ring[T]) push(v T) {
+	if r.n == len(r.buf) {
+		grown := make([]T, max(8, 2*len(r.buf)))
+		for i := 0; i < r.n; i++ {
+			grown[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
+		}
+		r.buf, r.head = grown, 0
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = v
+	r.n++
+}
+
+func (r *ring[T]) pop() T {
+	var zero T
+	v := r.buf[r.head]
+	r.buf[r.head] = zero // drop the reference
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return v
 }
 
 // mailbox holds one ordered pair's undelivered messages. scheduled is
@@ -240,8 +273,7 @@ func (nw *Sharded) send1(msg Message) {
 		// Loose delivery: messages go straight to the run queue, where
 		// concurrent workers may pick up and reorder them.
 		nw.run.mu.Lock()
-		nw.run.loose = append(nw.run.loose, msg)
-		nw.run.lats = append(nw.run.lats, latency)
+		nw.run.loose.push(looseMsg{msg, latency})
 		nw.run.cond.Signal()
 		nw.run.mu.Unlock()
 		return
@@ -338,7 +370,7 @@ func (nw *Sharded) mailbox(from, to int) *mailbox {
 // enqueue schedules a mailbox on the shared run queue.
 func (nw *Sharded) enqueue(mb *mailbox) {
 	nw.run.mu.Lock()
-	nw.run.ready = append(nw.run.ready, mb)
+	nw.run.ready.push(mb)
 	nw.run.cond.Signal()
 	nw.run.mu.Unlock()
 }
@@ -350,14 +382,12 @@ func (nw *Sharded) serve() {
 	q := &nw.run
 	for {
 		q.mu.Lock()
-		for len(q.ready) == 0 && len(q.loose) == 0 && !q.closed {
+		for q.ready.n == 0 && q.loose.n == 0 && !q.closed {
 			q.cond.Wait()
 		}
-		if len(q.loose) > 0 {
-			msg := q.loose[0]
-			latency := q.lats[0]
-			q.loose = q.loose[1:]
-			q.lats = q.lats[1:]
+		if q.loose.n > 0 {
+			l := q.loose.pop()
+			msg, latency := l.msg, l.latency
 			q.mu.Unlock()
 			if latency > 0 {
 				time.Sleep(latency) //lint:allow realtime real-latency engine: loose-order delivery sleeps wall-clock by design
@@ -375,12 +405,11 @@ func (nw *Sharded) serve() {
 			nw.settle(1)
 			continue
 		}
-		if len(q.ready) == 0 && q.closed {
+		if q.ready.n == 0 && q.closed {
 			q.mu.Unlock()
 			return
 		}
-		mb := q.ready[0]
-		q.ready = q.ready[1:]
+		mb := q.ready.pop()
 		q.mu.Unlock()
 		nw.drain(mb)
 	}

@@ -27,7 +27,12 @@ import (
 //     worker; it is idempotent, and Send after Close panics.
 //   - Options.Metrics, when non-nil, receives exactly one RecordMessage
 //     per Send with the message's kind, endpoints, byte split and
-//     variable list.
+//     variable list — synchronously, before Send returns. Nothing else
+//     ever reads Message.Vars, so the list stays the sender's: it may
+//     rewrite or reuse it once Send has returned, and a layer that
+//     re-sends a message later (Reliable) sends its own copy. The
+//     collector's steady state is lock-free (package metrics), so
+//     this adds no serialization between senders.
 //   - Payload ownership: a message's payload is immutable from Send
 //     until the destination handler returns. The sender must not
 //     mutate the slice after Send (it may pass the same slice to
@@ -38,7 +43,8 @@ import (
 //     refcounted multicast (Message.SharedRefs) — may recycle the
 //     buffer from inside its handler (see mcs.RecycleFrame). Retaining
 //     a stale reference the transport never dereferences again is
-//     permitted.
+//     permitted. The handler owns the payload only: Message.Vars is
+//     dead on arrival (see above).
 //   - Clock exposes the transport's deterministic virtual-time clock:
 //     Now advances by one tick per delivered message and jumps to the
 //     earliest pending deadline when the network goes idle; callbacks

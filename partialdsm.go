@@ -463,6 +463,7 @@ func New(cfg Config) (*Cluster, error) {
 		faults = &netsim.FaultConfig{Drop: cfg.FaultDrop, Dup: cfg.FaultDup, Seed: cfg.FaultSeed}
 	}
 	col := metrics.NewCollector()
+	col.Reserve(numNodes, pl.Vars()) // sorted, i.e. in VarID order
 	net, err := netsim.New(string(cfg.Transport), numNodes, netsim.Options{
 		FIFO:           !cfg.NonFIFO,
 		MaxLatency:     cfg.MaxLatency,
